@@ -49,6 +49,7 @@ from qatpg.helstrom import (
     build_test,
     error_probability,
     outcome_probs,
+    table_cells,
 )
 from qatpg.diagnosis import (
     ADAPTIVE,
@@ -110,6 +111,7 @@ __all__ = [
     "serialize_circuit",
     "solve_opt",
     "split",
+    "table_cells",
     "tensor",
     "unitary",
 ]

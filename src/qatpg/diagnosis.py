@@ -19,14 +19,20 @@ import numpy as np
 
 from qatpg._version import __version__ as _tool_version
 from qatpg.circuit import Circuit, RotationConvention, serialize_circuit
-from qatpg.faults import FaultSpec, faulty_variant
-from qatpg.helstrom import HelstromTest, OutcomeTriplet, UndetectableFault, build_test, outcome_probs
+from qatpg.faults import FaultSpec
+from qatpg.helstrom import HelstromTest, OutcomeTriplet, UndetectableFault, build_test, table_cells
 
 # Sentinel for CampaignConfig.test_order: pick tests greedily at run time.
 ADAPTIVE = "adaptive"
 
 # A hypothesis survives while its distance is within this of the best one.
 ELIMINATION_MARGIN = 0.25
+
+# Scores closer than this count as tied. Empirical frequencies are
+# multiples of 1/shots and many cells are round numbers, so exact
+# mathematical ties are common; without a tolerance the last ulp of a
+# cell would decide eliminations, verdicts and test order.
+TIE_TOL = 1e-12
 
 CSV_HEADER = "test,variant,p0,p1,punknown"
 
@@ -161,7 +167,9 @@ def build_table(
     """Build the full diagnostic table plus the per-gate tests that fill it.
 
     Gates whose fault cannot be observed get a NaN row and are recorded in
-    the table's `undetectable` set instead of aborting the build.
+    the table's `undetectable` set instead of aborting the build. The
+    cells of all detectable rows come from one batched sweep
+    (`helstrom.table_cells`).
     """
     s = circuit.size
     if s < 1:
@@ -170,17 +178,15 @@ def build_table(
     deltas = np.full(s, np.nan)
     undetectable = set()
     tests: dict[int, HelstromTest] = {}
-    variants = [faulty_variant(circuit, spec, r) for r in range(s + 1)]
     for q in range(1, s + 1):
         try:
-            test = build_test(circuit, spec, q, convention, tol=tol)
+            tests[q] = build_test(circuit, spec, q, convention, tol=tol)
         except UndetectableFault:
             undetectable.add(q)
             continue
-        tests[q] = test
-        deltas[q - 1] = test.delta
-        for r in range(s + 1):
-            cells[q - 1, r] = outcome_probs(test, variants[r]).as_array()
+        deltas[q - 1] = tests[q].delta
+    rows = [q - 1 for q in tests]
+    cells[rows] = table_cells(circuit, spec, list(tests.values()), convention)
     table = DiagnosticTable(
         s=s,
         cells=cells,
@@ -219,8 +225,8 @@ def classify(table: DiagnosticTable, observations) -> int:
     """Most plausible hypothesis for empirical triplets keyed by test index.
 
     Scores every column by the summed L1 distance to the observed
-    frequencies and returns the argmin, breaking ties toward the smaller
-    index (healthy wins over any fault it ties with).
+    frequencies and returns the argmin, breaking ties (within TIE_TOL)
+    toward the smaller index, so healthy wins over any fault it ties with.
     """
     if not observations:
         raise ValueError("no observations to classify")
@@ -233,12 +239,17 @@ def classify(table: DiagnosticTable, observations) -> int:
             raise ValueError(f"test {qi} is undetectable and produced no data")
         arr = trip.as_array() if isinstance(trip, OutcomeTriplet) else np.asarray(trip, float)
         obs[qi] = arr
-    best_r, best_score = None, math.inf
-    for r in range(table.s + 1):
-        score = sum(_l1(emp, table.cells[q - 1, r]) for q, emp in obs.items())
-        if score < best_score - 1e-15:
-            best_r, best_score = r, score
-    return best_r
+    scores = {
+        r: sum(_l1(emp, table.cells[q - 1, r]) for q, emp in obs.items())
+        for r in range(table.s + 1)
+    }
+    return _tolerant_argmin(scores)
+
+
+def _tolerant_argmin(scores: dict[int, float]) -> int:
+    """Smallest key whose score is within TIE_TOL of the minimum."""
+    best = min(scores.values())
+    return min(r for r, v in scores.items() if v <= best + TIE_TOL)
 
 
 def plan_shots(delta: float, epsilon: float) -> int:
@@ -335,8 +346,8 @@ class DiagnosisResult:
 def _adaptive_pick(table: DiagnosticTable, unused, survivors) -> int:
     """Unused test with the largest minimum pairwise TV among survivors.
 
-    Iterates tests in ascending order and requires a strict improvement,
-    so ties resolve toward the smaller test index.
+    Iterates tests in ascending order and requires an improvement of more
+    than TIE_TOL, so ties resolve toward the earlier test.
     """
     best_q, best_score = None, -1.0
     ordered = sorted(survivors)
@@ -346,7 +357,7 @@ def _adaptive_pick(table: DiagnosticTable, unused, survivors) -> int:
             for r1, r2 in itertools.combinations(ordered, 2)
         ]
         score = min(pairs) if pairs else 0.0
-        if score > best_score + 1e-15:
+        if score > best_score + TIE_TOL:
             best_q, best_score = q, score
     return best_q
 
@@ -404,7 +415,8 @@ def run_campaign(
         executed.append((q, emp, shots))
         dists = {r: _tv(emp, table.cells[q - 1, r]) for r in survivors}
         best = min(dists.values())
-        survivors = {r for r in survivors if dists[r] <= best + config.elimination_margin}
+        cutoff = best + config.elimination_margin + TIE_TOL
+        survivors = {r for r in survivors if dists[r] <= cutoff}
         history.append(frozenset(survivors))
 
     empirical = {q: OutcomeTriplet.from_array(emp) for q, emp, _ in executed}
@@ -423,5 +435,5 @@ def run_campaign(
         return DiagnosisResult(verdict=next(iter(survivors)), **base)
     if config.on_ambiguous == "raise":
         raise AmbiguousDiagnosis(survivors, DiagnosisResult(verdict=None, **base))
-    verdict = min(sorted(survivors), key=lambda r: (per_class_l1[r], r))
+    verdict = _tolerant_argmin({r: per_class_l1[r] for r in survivors})
     return DiagnosisResult(verdict=verdict, **base)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qatpg.circuit import Circuit, RotationConvention, apply
-from qatpg.faults import FaultSpec, faulty_variant
+from qatpg.circuit import Circuit, RotationConvention, _apply_gate, apply, gate_matrix
+from qatpg.faults import FaultSpec, fault_operator, faulty_variant
 from qatpg.linalg import CMatrix, CVector, inner
 from qatpg.separator import SeparatorSolution, circuit_separator
 
@@ -69,15 +69,16 @@ class OutcomeTriplet:
 
 @dataclass(frozen=True)
 class HelstromTest:
-    """The full test for one gate: input state, measurement pair, projectors."""
+    """The full test for one gate: input state and measurement pair.
+
+    The outcome projectors are rank-1 (or their complement) and are built
+    on demand from the measurement pair; a test stores only vectors.
+    """
 
     gate_index: int
     input_state: CVector
     omega_plus: CVector
     omega_minus: CVector
-    proj0: CMatrix
-    proj1: CMatrix
-    proj_unknown: CMatrix
     delta: float
     k: float
     kappa: float
@@ -85,6 +86,22 @@ class HelstromTest:
     r2: float
     convention: RotationConvention
     separator: SeparatorSolution
+
+    @property
+    def proj0(self) -> CMatrix:
+        """Dense projector onto omega_plus (outcome 0, healthy vote)."""
+        return np.outer(self.omega_plus, self.omega_plus.conj())
+
+    @property
+    def proj1(self) -> CMatrix:
+        """Dense projector onto omega_minus (outcome 1, faulty vote)."""
+        return np.outer(self.omega_minus, self.omega_minus.conj())
+
+    @property
+    def proj_unknown(self) -> CMatrix:
+        """Dense projector onto the complement of span{omega_plus, omega_minus}."""
+        p = np.eye(len(self.omega_plus), dtype=np.complex128) - self.proj0 - self.proj1
+        return (p + p.conj().T) / 2.0
 
 
 def error_probability(k: float) -> float:
@@ -161,19 +178,11 @@ def build_test(
             f"output overlap {k:.12f} disagrees with separator value {sep.k:.12f}"
         )
     delta = error_probability(k)
-    dim = len(psi)
-    proj0 = np.outer(omega_plus, omega_plus.conj())
-    proj1 = np.outer(omega_minus, omega_minus.conj())
-    proj_unknown = np.eye(dim, dtype=np.complex128) - proj0 - proj1
-    proj_unknown = (proj_unknown + proj_unknown.conj().T) / 2.0
     return HelstromTest(
         gate_index=i,
         input_state=sep.phi,
         omega_plus=omega_plus,
         omega_minus=omega_minus,
-        proj0=proj0,
-        proj1=proj1,
-        proj_unknown=proj_unknown,
         delta=float(delta),
         k=float(k),
         kappa=float(kappa),
@@ -184,6 +193,18 @@ def build_test(
     )
 
 
+def _triplets(a_plus, a_minus) -> np.ndarray:
+    """Outcome triplets from the amplitudes <omega_plus|sigma>, <omega_minus|sigma>.
+
+    p0 and p1 are the Born weights clipped at 1; the inconclusive weight is
+    their complement clipped at 0. The last axis of the result is
+    (p0, p1, p_unknown).
+    """
+    p0 = np.minimum(1.0, np.abs(a_plus) ** 2)
+    p1 = np.minimum(1.0, np.abs(a_minus) ** 2)
+    return np.stack([p0, p1, np.maximum(0.0, 1.0 - p0 - p1)], axis=-1)
+
+
 def outcome_probs(test: HelstromTest, variant: Circuit, convention: RotationConvention | None = None) -> OutcomeTriplet:
     """Exact outcome distribution when the circuit under test is `variant`.
 
@@ -192,8 +213,51 @@ def outcome_probs(test: HelstromTest, variant: Circuit, convention: RotationConv
     """
     conv = convention if convention is not None else test.convention
     sigma = apply(variant, test.input_state, conv)
-    p0 = abs(inner(test.omega_plus, sigma)) ** 2
-    p1 = abs(inner(test.omega_minus, sigma)) ** 2
-    p0 = min(1.0, p0)
-    p1 = min(1.0, p1)
-    return OutcomeTriplet(p0=p0, p1=p1, p_unknown=max(0.0, 1.0 - p0 - p1))
+    return OutcomeTriplet.from_array(
+        _triplets(inner(test.omega_plus, sigma), inner(test.omega_minus, sigma))
+    )
+
+
+def table_cells(
+    circuit: Circuit,
+    spec: FaultSpec,
+    tests: list[HelstromTest],
+    convention: RotationConvention,
+) -> np.ndarray:
+    """Outcome triplets of every test on every hypothesis in one sweep.
+
+    Returns shape (len(tests), s + 1, 3); entry [j, r] equals
+    outcome_probs(tests[j], faulty_variant(circuit, spec, r)). With A_r
+    the gates before r and B_r the adjoints of the gates after r, the
+    amplitude of cell (q, r) is <B_r omega | F_r A_r phi_q>, F_r being the
+    fault operator of gate r. The inputs X = A_r phi and the measurement
+    vectors W = B_r omega of all tests are held as one batch each (a
+    trailing axis on the state tensor) and moved forward together gate by
+    gate. The table costs 4 s batched gate applications instead of
+    s (s + 1) circuit simulations, and no prefix state is stored.
+    """
+    n, s = circuit.n, circuit.size
+    if not tests:
+        return np.empty((0, s + 1, 3))
+    shape = (2,) * n + (-1,)
+    x = np.stack([t.input_state for t in tests], axis=-1).reshape(shape)
+    w = np.stack(
+        [t.omega_plus for t in tests] + [t.omega_minus for t in tests], axis=-1
+    ).reshape(shape)
+    gates = circuit.gates
+    mats = [gate_matrix(g, convention) for g in gates]
+    for g, mat in zip(reversed(gates), reversed(mats)):
+        w = _apply_gate(mat.conj().T, g.qubits, w, n)
+    cells = np.empty((len(tests), s + 1, 3))
+
+    def fill(r: int, sigma: np.ndarray) -> None:
+        # w holds (omega_plus of every test, omega_minus of every test).
+        a = np.einsum("ipq,iq->pq", w.reshape(2 ** n, 2, -1).conj(), sigma.reshape(2 ** n, -1))
+        cells[:, r] = _triplets(a[0], a[1])
+
+    fill(0, x)
+    for r, (g, mat) in enumerate(zip(gates, mats), start=1):
+        w = _apply_gate(mat, g.qubits, w, n)
+        fill(r, _apply_gate(fault_operator(circuit, spec, r), g.qubits, x, n))
+        x = _apply_gate(mat, g.qubits, x, n)
+    return cells

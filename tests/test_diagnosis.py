@@ -7,17 +7,31 @@ Run:
 Selected table cells are pinned against hand-derived closed forms (the
 benchmark circuit is small enough to work outcome amplitudes out on
 paper), the full table against frozen six-decimal regression values,
-and the campaign engine against its documented seeding contract.
+the batched table fill against one simulation per cell, and the
+campaign engine against its documented seeding contract.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qatpg
 from qatpg._version import __version__
-from qatpg.circuit import Circuit, GateKind, PlacedGate, RotationConvention, parse_circuit
+from qatpg.circuit import (
+    Circuit,
+    GateKind,
+    PlacedGate,
+    RotationConvention,
+    gate_matrix,
+    parse_circuit,
+)
 from qatpg.diagnosis import (
     ADAPTIVE,
     CSV_HEADER,
@@ -33,8 +47,10 @@ from qatpg.diagnosis import (
     run_campaign,
     sample_outcome,
 )
-from qatpg.faults import FaultSpec
-from qatpg.helstrom import OutcomeTriplet, UndetectableFault
+from qatpg.faults import FaultModel, FaultSpec, GateFault, faulty_variant
+from qatpg.helstrom import OutcomeTriplet, UndetectableFault, outcome_probs
+
+from helpers import haar_unitary, random_circuit
 
 HALF = RotationConvention.HALF_ANGLE
 FULL = RotationConvention.FULL_ANGLE
@@ -189,6 +205,92 @@ class TestHandDerivedCells:
         table, _ = full_table
         d = (1 - math.sin(math.pi / 16)) / 2
         np.testing.assert_allclose(table.cells[4, 0], [1 - d, d, 0], atol=1e-12)
+
+
+def _seeded_instance(seed: int, n: int, size: int):
+    """Seeded circuit where every other gate has a Haar replacement fault and
+    gate 2 is replaced by itself times a global phase (undetectable)."""
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n=n, size=size)
+    conv = HALF if seed % 2 else FULL
+    overrides = {
+        i: GateFault(kind=FaultModel.REPLACE,
+                     matrix=haar_unitary(2 ** circuit.gates[i - 1].arity, rng))
+        for i in range(1, size + 1, 2)
+    }
+    g2 = gate_matrix(circuit.gates[1], conv)
+    overrides[2] = GateFault(kind=FaultModel.REPLACE, matrix=np.exp(0.7j) * g2)
+    return circuit, FaultSpec(overrides=overrides), conv
+
+
+class TestSweepFill:
+    """The batched sweep against one full simulation per (test, variant)."""
+
+    @pytest.mark.parametrize("seed,n,size", [(1, 1, 5), (2, 1, 6), (3, 3, 8), (4, 4, 10)])
+    def test_cells_equal_per_cell_simulation(self, seed, n, size):
+        circuit, spec, conv = _seeded_instance(seed, n, size)
+        table, tests = build_table(circuit, spec, conv)
+        assert 2 in table.undetectable
+        assert np.all(np.isnan(table.cells[1]))
+        assert sorted(tests) == list(table.usable_tests)
+        for q, test in tests.items():
+            for r in range(size + 1):
+                want = outcome_probs(test, faulty_variant(circuit, spec, r)).as_array()
+                np.testing.assert_allclose(table.cells[q - 1, r], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("conv", [HALF, FULL])
+    def test_benchmark_cells_equal_per_cell_simulation(self, benchmark_circuit, smgf_spec, conv):
+        table, tests = build_table(benchmark_circuit, smgf_spec, conv)
+        for q, test in tests.items():
+            for r in range(benchmark_circuit.size + 1):
+                variant = faulty_variant(benchmark_circuit, smgf_spec, r)
+                np.testing.assert_allclose(table.cells[q - 1, r],
+                                           outcome_probs(test, variant).as_array(),
+                                           rtol=0, atol=1e-12)
+
+    def test_fill_does_not_simulate_per_cell(self, monkeypatch):
+        # Test assembly simulates each gate's test at most three times; a
+        # fall-back to one simulation per cell would make s (s + 1) more.
+        calls = []
+        for module in vars(qatpg).values():
+            if getattr(module, "__name__", "").startswith("qatpg."):
+                for name in ("apply", "apply_adjoint"):
+                    fn = getattr(module, name, None)
+                    if callable(fn):
+                        def counted(*args, _fn=fn, **kwargs):
+                            calls.append(1)
+                            return _fn(*args, **kwargs)
+                        monkeypatch.setattr(module, name, counted)
+        circuit, spec, conv = _seeded_instance(5, 3, 12)
+        build_table(circuit, spec, conv)
+        assert 0 < len(calls) <= 3 * circuit.size
+
+    def test_twelve_qubit_table_fits_in_memory(self):
+        # Fresh interpreter, so ru_maxrss is this table's peak alone.
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from helpers import random_circuit
+            from qatpg.circuit import RotationConvention
+            from qatpg.diagnosis import build_table
+            from qatpg.faults import FaultSpec
+
+            circuit = random_circuit(np.random.default_rng(12), n=12, size=32)
+            table, _ = build_table(circuit, FaultSpec(), RotationConvention.FULL_ANGLE)
+            assert table.cells.shape == (32, 33, 3)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        tests_dir = Path(__file__).resolve().parent
+        src = tests_dir.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests_dir}"),
+        )
+        assert out.returncode == 0, out.stderr
+        peak_kib = int(out.stdout.split()[-1])
+        assert peak_kib < 1024 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 # ═══════════════════════════════════════════════════════════════════════════
