@@ -48,14 +48,7 @@ def main() -> int:
                   f"(k = {tests[q].k:.6f})")
     print()
 
-    header = "      " + "  ".join(f"{'C' + str(r):>16}" for r in range(table.s + 1))
-    print(header)
-    for q in range(1, table.s + 1):
-        cells = "  ".join(
-            f"({p0:.2f},{p1:.2f},{pu:.2f})".rjust(16)
-            for p0, p1, pu in table.cells[q - 1]
-        )
-        print(f"T{q:<4} {cells}")
+    print(table.to_text())
     print()
 
     print(f"campaign sweep: {args.campaigns} campaigns per class, "

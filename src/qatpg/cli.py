@@ -239,22 +239,6 @@ def cmd_separator(args) -> int:
     return EXIT_OK
 
 
-def _render_table_text(table: DiagnosticTable) -> str:
-    lines = []
-    header = "      " + "  ".join(f"{'C' + str(r):>16}" for r in range(table.s + 1))
-    lines.append(header)
-    for q in range(1, table.s + 1):
-        if q in table.undetectable:
-            lines.append(f"T{q:<4} (undetectable fault, no test)")
-            continue
-        cells = []
-        for r in range(table.s + 1):
-            p0, p1, pu = table.cells[q - 1, r]
-            cells.append(f"({p0:.2f},{p1:.2f},{pu:.2f})")
-        lines.append(f"T{q:<4} " + "  ".join(f"{c:>16}" for c in cells))
-    return "\n".join(lines)
-
-
 def cmd_table(args) -> int:
     conv = _convention(args)
     circuit = _load_circuit(args.circuit)
@@ -277,7 +261,7 @@ def cmd_table(args) -> int:
     elif args.format == "csv":
         _emit(table.to_csv(), args.output)
     else:
-        _emit(_render_table_text(table), args.output)
+        _emit(table.to_text(), args.output)
     return EXIT_OK
 
 
@@ -330,7 +314,6 @@ def cmd_diagnose(args) -> int:
             shots_per_test=args.shots,
             rng_seed=args.seed,
             test_order=order,
-            confidence_target=args.epsilon,
             budget=args.budget,
             on_ambiguous="decide" if args.decide else "raise",
         )
@@ -409,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="reuse a table JSON (hash-checked against -c)")
     p.add_argument("--budget", type=int, default=20, help="total evaluation budget")
     p.add_argument("--shots", type=int, default=10, help="shots per executed test")
-    p.add_argument("--epsilon", type=float, default=0.05, help="confidence target")
     p.add_argument("--order", default=ADAPTIVE,
                    help="'adaptive' or comma-separated test indexes")
     p.add_argument("--decide", action="store_true",

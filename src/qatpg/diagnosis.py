@@ -10,7 +10,6 @@ whose total-variation distance is not competitive.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +32,10 @@ ELIMINATION_MARGIN = 0.25
 # mathematical ties are common; without a tolerance the last ulp of a
 # cell would decide eliminations, verdicts and test order.
 TIE_TOL = 1e-12
+
+# Survivor pairs times candidate tests scored in one array by the scheduler,
+# which bounds its scratch memory on large tables.
+_PAIR_BLOCK = 1 << 18
 
 CSV_HEADER = "test,variant,p0,p1,punknown"
 
@@ -157,6 +160,17 @@ class DiagnosticTable:
                     lines.append(f"{q},{r},{p0!r},{p1!r},{pu!r}")
         return "\n".join(lines) + "\n"
 
+    def to_text(self) -> str:
+        """Fixed-width grid of rounded triplets, one line per test."""
+        lines = ["      " + "  ".join(f"{'C' + str(r):>16}" for r in range(self.s + 1))]
+        for q in range(1, self.s + 1):
+            if q in self.undetectable:
+                lines.append(f"T{q:<4} (undetectable fault, no test)")
+                continue
+            cells = (f"({p0:.2f},{p1:.2f},{pu:.2f})" for p0, p1, pu in self.cells[q - 1])
+            lines.append(f"T{q:<4} " + "  ".join(f"{c:>16}" for c in cells))
+        return "\n".join(lines)
+
 
 def build_table(
     circuit: Circuit,
@@ -201,24 +215,29 @@ def build_table(
     return table, tests
 
 
-def sample_outcome(triplet, generator: np.random.Generator) -> int:
-    """Draw one outcome index (0, 1, or 2) using the generator's next value."""
-    p = triplet.as_array() if isinstance(triplet, OutcomeTriplet) else np.asarray(triplet, float)
-    p = np.clip(p, 0.0, None)
+def _outcomes(triplet, draws):
+    """Outcome indexes (0, 1, or 2) for uniform draws, by inverse CDF.
+
+    Negative entries of the triplet are clipped to zero and the rest is
+    normalised; `draws` is one value or an array of them.
+    """
+    p = np.clip(np.asarray(triplet, float), 0.0, None)
     total = p.sum()
     if not math.isfinite(total) or total <= 0:
         raise ValueError(f"triplet {p} has no probability mass")
     cdf = np.cumsum(p / total)
-    draw = generator.random()
-    return min(int(np.searchsorted(cdf, draw, side="right")), 2)
+    return np.minimum(np.searchsorted(cdf, draws, side="right"), 2)
 
 
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.asarray(a, float) - np.asarray(b, float)).sum())
+def sample_outcome(triplet, generator: np.random.Generator) -> int:
+    """Draw one outcome index (0, 1, or 2) using the generator's next value."""
+    p = triplet.as_array() if isinstance(triplet, OutcomeTriplet) else triplet
+    return int(_outcomes(p, generator.random()))
 
 
-def _tv(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * _l1(a, b)
+def _l1_to_columns(emp: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """L1 distance from one empirical triplet to every cell of a table row."""
+    return np.abs(emp - row).sum(axis=-1)
 
 
 def classify(table: DiagnosticTable, observations) -> int:
@@ -239,17 +258,13 @@ def classify(table: DiagnosticTable, observations) -> int:
             raise ValueError(f"test {qi} is undetectable and produced no data")
         arr = trip.as_array() if isinstance(trip, OutcomeTriplet) else np.asarray(trip, float)
         obs[qi] = arr
-    scores = {
-        r: sum(_l1(emp, table.cells[q - 1, r]) for q, emp in obs.items())
-        for r in range(table.s + 1)
-    }
+    scores = sum(_l1_to_columns(emp, table.cells[q - 1]) for q, emp in obs.items())
     return _tolerant_argmin(scores)
 
 
-def _tolerant_argmin(scores: dict[int, float]) -> int:
-    """Smallest key whose score is within TIE_TOL of the minimum."""
-    best = min(scores.values())
-    return min(r for r, v in scores.items() if v <= best + TIE_TOL)
+def _tolerant_argmin(scores: np.ndarray) -> int:
+    """First position whose score is within TIE_TOL of the minimum."""
+    return int(np.flatnonzero(scores <= scores.min() + TIE_TOL)[0])
 
 
 def plan_shots(delta: float, epsilon: float) -> int:
@@ -285,7 +300,6 @@ class CampaignConfig:
     shots_per_test: int = 10
     rng_seed: int = 0
     test_order: object = ADAPTIVE
-    confidence_target: float = 0.05
     budget: int | None = None
     elimination_margin: float = ELIMINATION_MARGIN
     on_ambiguous: str = "raise"
@@ -295,8 +309,6 @@ class CampaignConfig:
             raise ValueError("shots_per_test must be at least 1")
         object.__setattr__(self, "shots_per_test", int(self.shots_per_test))
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        if not 0 < self.confidence_target < 1:
-            raise ValueError(f"confidence_target {self.confidence_target} outside (0, 1)")
         if self.budget is not None and int(self.budget) < 1:
             raise ValueError("budget must be at least 1 when set")
         if self.budget is not None:
@@ -346,17 +358,22 @@ class DiagnosisResult:
 def _adaptive_pick(table: DiagnosticTable, unused, survivors) -> int:
     """Unused test with the largest minimum pairwise TV among survivors.
 
-    Iterates tests in ascending order and requires an improvement of more
-    than TIE_TOL, so ties resolve toward the earlier test.
+    Scores every candidate test at once, then keeps a running best over
+    `unused` in order that only an improvement of more than TIE_TOL
+    replaces, so ties resolve toward the earlier test.
     """
-    best_q, best_score = None, -1.0
     ordered = sorted(survivors)
-    for q in unused:
-        pairs = [
-            _tv(table.cells[q - 1, r1], table.cells[q - 1, r2])
-            for r1, r2 in itertools.combinations(ordered, 2)
-        ]
-        score = min(pairs) if pairs else 0.0
+    if len(ordered) < 2:
+        return unused[0]
+    cells = table.cells[np.asarray(unused) - 1][:, ordered]
+    i, j = np.triu_indices(len(ordered), 1)
+    step = max(1, _PAIR_BLOCK // len(i))
+    scores = np.concatenate([
+        (0.5 * np.abs(block[:, i] - block[:, j]).sum(axis=2)).min(axis=1)
+        for block in (cells[k:k + step] for k in range(0, len(cells), step))
+    ])
+    best_q, best_score = None, -1.0
+    for q, score in zip(unused, scores.tolist()):
         if score > best_score + TIE_TOL:
             best_q, best_score = q, score
     return best_q
@@ -388,10 +405,11 @@ def run_campaign(
     if not available:
         raise ValueError("no usable tests: every gate fault is undetectable")
 
-    survivors = set(range(table.s + 1))
+    survivors = np.arange(table.s + 1)
+    l1_total = np.zeros(table.s + 1)
     unused = list(available)
     budget_left = config.budget if config.budget is not None else math.inf
-    executed: list[tuple[int, np.ndarray, int]] = []
+    executed: list[tuple[int, np.ndarray]] = []
     history: list[frozenset[int]] = []
     evaluations = 0
 
@@ -407,33 +425,25 @@ def run_campaign(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(config.rng_seed, spawn_key=(q,)))
         )
-        truth = table.cells[q - 1, true_class]
-        counts = np.zeros(3)
-        for _ in range(shots):
-            counts[sample_outcome(truth, rng)] += 1
-        emp = counts / shots
-        executed.append((q, emp, shots))
-        dists = {r: _tv(emp, table.cells[q - 1, r]) for r in survivors}
-        best = min(dists.values())
-        cutoff = best + config.elimination_margin + TIE_TOL
-        survivors = {r for r in survivors if dists[r] <= cutoff}
-        history.append(frozenset(survivors))
+        outcomes = _outcomes(table.cells[q - 1, true_class], rng.random(shots))
+        emp = np.bincount(outcomes, minlength=3) / shots
+        executed.append((q, emp))
+        l1 = _l1_to_columns(emp, table.cells[q - 1])
+        l1_total += l1
+        tv = 0.5 * l1[survivors]
+        survivors = survivors[tv <= tv.min() + config.elimination_margin + TIE_TOL]
+        history.append(frozenset(survivors.tolist()))
 
-    empirical = {q: OutcomeTriplet.from_array(emp) for q, emp, _ in executed}
-    per_class_l1 = {
-        r: sum(_l1(emp, table.cells[q - 1, r]) for q, emp, _ in executed)
-        for r in range(table.s + 1)
-    }
     base = dict(
         evaluations_used=evaluations,
-        tests_used=tuple(q for q, _, _ in executed),
-        empirical=empirical,
-        per_class_l1=per_class_l1,
+        tests_used=tuple(q for q, _ in executed),
+        empirical={q: OutcomeTriplet.from_array(emp) for q, emp in executed},
+        per_class_l1=dict(enumerate(l1_total.tolist())),
         survivors_history=tuple(history),
     )
     if len(survivors) == 1:
-        return DiagnosisResult(verdict=next(iter(survivors)), **base)
+        return DiagnosisResult(verdict=int(survivors[0]), **base)
     if config.on_ambiguous == "raise":
-        raise AmbiguousDiagnosis(survivors, DiagnosisResult(verdict=None, **base))
-    verdict = _tolerant_argmin({r: per_class_l1[r] for r in survivors})
+        raise AmbiguousDiagnosis(survivors.tolist(), DiagnosisResult(verdict=None, **base))
+    verdict = int(survivors[_tolerant_argmin(l1_total[survivors])])
     return DiagnosisResult(verdict=verdict, **base)

@@ -7,9 +7,11 @@ Run:
 Selected table cells are pinned against hand-derived closed forms (the
 benchmark circuit is small enough to work outcome amplitudes out on
 paper), the full table against frozen six-decimal regression values,
-the batched table fill against one simulation per cell, and the
-campaign engine against its documented seeding contract.
+the batched table fill against one simulation per cell, the array
+scheduler against a loop over survivor pairs, and the campaign engine
+against its documented seeding contract.
 """
+import itertools
 import json
 import math
 import os
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qatpg
+from qatpg import diagnosis
 from qatpg._version import __version__
 from qatpg.circuit import (
     Circuit,
@@ -35,6 +38,7 @@ from qatpg.circuit import (
 from qatpg.diagnosis import (
     ADAPTIVE,
     CSV_HEADER,
+    TIE_TOL,
     AmbiguousDiagnosis,
     CampaignConfig,
     DiagnosticTable,
@@ -476,13 +480,30 @@ class TestCampaignConfig:
         with pytest.raises(ValueError):
             CampaignConfig(shots_per_test=0)
         with pytest.raises(ValueError):
-            CampaignConfig(confidence_target=1.0)
-        with pytest.raises(ValueError):
             CampaignConfig(budget=0)
         with pytest.raises(ValueError):
             CampaignConfig(on_ambiguous="shrug")
         with pytest.raises(ValueError, match="repeats"):
             CampaignConfig(test_order=(1, 1))
+
+
+def _reference_pick(table, unused, survivors):
+    """The scheduler as a loop over candidate tests and survivor pairs."""
+    best_q, best_score = None, -1.0
+    for q in unused:
+        pairs = [
+            0.5 * float(np.abs(table.cells[q - 1, r1] - table.cells[q - 1, r2]).sum())
+            for r1, r2 in itertools.combinations(sorted(survivors), 2)
+        ]
+        score = min(pairs) if pairs else 0.0
+        if score > best_score + TIE_TOL:
+            best_q, best_score = q, score
+    return best_q
+
+
+def _table_of(cells):
+    s = cells.shape[0]
+    return DiagnosticTable(s=s, cells=cells, deltas=np.zeros(s), undetectable=frozenset())
 
 
 class TestAdaptivePick:
@@ -506,6 +527,42 @@ class TestAdaptivePick:
         table, _ = full_table
         assert _adaptive_pick(table, [3, 5], {2}) == 3
 
+    @pytest.mark.parametrize(
+        "pair_block", [diagnosis._PAIR_BLOCK, 1, 7], ids=["one-block", "block-1", "block-7"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_reference_on_random_tables(self, monkeypatch, seed, pair_block):
+        # Seeded random tables, random survivor sets and shuffled (so
+        # mostly non-ascending) candidate lists; small pair blocks split
+        # the candidates into several arrays.
+        monkeypatch.setattr(diagnosis, "_PAIR_BLOCK", pair_block)
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(2, 12))
+        table = _table_of(rng.dirichlet(np.ones(3), size=(s, s + 1)))
+        for _ in range(30):
+            unused = [int(q) for q in rng.permutation(np.arange(1, s + 1))[: rng.integers(1, s + 1)]]
+            survivors = {int(r) for r in rng.choice(s + 1, rng.integers(1, s + 2), replace=False)}
+            assert _adaptive_pick(table, unused, survivors) == _reference_pick(
+                table, unused, survivors
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_reference_on_exact_ties(self, seed):
+        # Round-number cells make many scores tie exactly; a 1e-15 nudge
+        # makes ties that only TIE_TOL settles.
+        rng = np.random.default_rng(100 + seed)
+        rounds = np.array([[1, 0, 0], [0, 1, 0], [0.5, 0, 0.5], [0.75, 0.25, 0], [0.25, 0.25, 0.5]])
+        s = 6
+        cells = rounds[rng.integers(0, len(rounds), size=(s, s + 1))]
+        cells = cells + 1e-15 * rng.integers(-1, 2, size=cells.shape)
+        table = _table_of(cells)
+        for _ in range(40):
+            unused = [int(q) for q in rng.permutation(np.arange(1, s + 1))]
+            survivors = {int(r) for r in rng.choice(s + 1, rng.integers(1, s + 2), replace=False)}
+            assert _adaptive_pick(table, unused, survivors) == _reference_pick(
+                table, unused, survivors
+            )
+
 
 class TestRunCampaign:
     def test_deterministic_repetition(self, full_table):
@@ -522,11 +579,24 @@ class TestRunCampaign:
                 a.empirical[q].as_array(), b.empirical[q].as_array(), atol=0
             )
 
-    def test_documented_seeding_contract(self, full_table):
-        # Shots for test q come from PCG64 seeded with (rng_seed, spawn_key=(q,)).
+    @pytest.mark.parametrize("shots", [1, 7, 10])
+    @pytest.mark.parametrize(
+        "truth",
+        [None, (0.5, 0.0, 0.5), (-0.25, 0.75, 0.5)],
+        ids=["benchmark", "zero-entry", "negative-mass"],
+    )
+    def test_documented_seeding_contract(self, full_table, truth, shots):
+        # Shots for test q come from PCG64 seeded with (rng_seed, spawn_key=(q,)):
+        # the campaign's counts equal sequential sample_outcome draws bit for bit.
         table, _ = full_table
+        if truth is not None:
+            cells = table.cells.copy()
+            cells[3, 0] = truth
+            table = DiagnosticTable(
+                s=table.s, cells=cells, deltas=table.deltas, undetectable=table.undetectable
+            )
         cfg = CampaignConfig(
-            shots_per_test=10, rng_seed=123, test_order=(4,), budget=10,
+            shots_per_test=shots, rng_seed=123, test_order=(4,), budget=shots,
             on_ambiguous="decide",
         )
         result = run_campaign(table, 0, cfg)
@@ -534,11 +604,9 @@ class TestRunCampaign:
             np.random.PCG64(np.random.SeedSequence(123, spawn_key=(4,)))
         )
         counts = np.zeros(3)
-        for _ in range(10):
+        for _ in range(shots):
             counts[sample_outcome(table.cells[3, 0], rng)] += 1
-        np.testing.assert_allclose(
-            result.empirical[4].as_array(), counts / 10, atol=0
-        )
+        np.testing.assert_array_equal(result.empirical[4].as_array(), counts / shots)
 
     def test_substreams_make_order_irrelevant(self, full_table):
         table, _ = full_table
