@@ -218,30 +218,30 @@ def _apply_gate(mat: CMatrix, qubits: tuple[int, ...], psi_nd: np.ndarray, n: in
     return np.moveaxis(out, list(range(k)), list(qubits))
 
 
-def apply(circuit: Circuit, state: CVector, convention: RotationConvention) -> CVector:
-    """Run the state through the circuit without building full-register matrices."""
+def _register_tensor(state, n: int) -> np.ndarray:
+    """A state vector, or a block of states as columns, as a rank-n tensor."""
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (2 ** circuit.n,):
+    if state.ndim not in (1, 2) or state.shape[0] != 2 ** n:
         raise ValueError(
-            f"state has shape {state.shape}, expected ({2 ** circuit.n},)"
+            f"state has shape {state.shape}, expected ({2 ** n},) or ({2 ** n}, columns)"
         )
-    psi = state.reshape((2,) * circuit.n)
+    return state.reshape((2,) * n + state.shape[1:])
+
+
+def apply(circuit: Circuit, state: CVector, convention: RotationConvention) -> CVector:
+    """Run a state (or each column of a block) through the circuit, gate by gate."""
+    psi = _register_tensor(state, circuit.n)
     for g in circuit.gates:
         psi = _apply_gate(gate_matrix(g, convention), g.qubits, psi, circuit.n)
-    return psi.reshape(-1)
+    return psi.reshape((2 ** circuit.n,) + psi.shape[circuit.n:])
 
 
 def apply_adjoint(circuit: Circuit, state: CVector, convention: RotationConvention) -> CVector:
-    """Run the state through the inverse circuit (reversed adjoint gates)."""
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (2 ** circuit.n,):
-        raise ValueError(
-            f"state has shape {state.shape}, expected ({2 ** circuit.n},)"
-        )
-    psi = state.reshape((2,) * circuit.n)
+    """Run a state (or each column of a block) through the inverse circuit."""
+    psi = _register_tensor(state, circuit.n)
     for g in reversed(circuit.gates):
         psi = _apply_gate(gate_matrix(g, convention).conj().T, g.qubits, psi, circuit.n)
-    return psi.reshape(-1)
+    return psi.reshape((2 ** circuit.n,) + psi.shape[circuit.n:])
 
 
 def unitary(circuit: Circuit, convention: RotationConvention) -> CMatrix:

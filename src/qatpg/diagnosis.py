@@ -19,7 +19,7 @@ import numpy as np
 from qatpg._version import __version__ as _tool_version
 from qatpg.circuit import Circuit, RotationConvention, serialize_circuit
 from qatpg.faults import FaultSpec
-from qatpg.helstrom import HelstromTest, OutcomeTriplet, UndetectableFault, build_test, table_cells
+from qatpg.helstrom import HelstromTest, OutcomeTriplet, UndetectableFault, table_cells
 
 # Sentinel for CampaignConfig.test_order: pick tests greedily at run time.
 ADAPTIVE = "adaptive"
@@ -181,26 +181,18 @@ def build_table(
     """Build the full diagnostic table plus the per-gate tests that fill it.
 
     Gates whose fault cannot be observed get a NaN row and are recorded in
-    the table's `undetectable` set instead of aborting the build. The
-    cells of all detectable rows come from one batched sweep
+    the table's `undetectable` set instead of aborting the build. Tests and
+    cells come from one backward and one forward sweep
     (`helstrom.table_cells`).
     """
     s = circuit.size
     if s < 1:
         raise ValueError("cannot build a table for a circuit with no gates")
-    cells = np.full((s, s + 1, 3), np.nan)
+    cells, tests = table_cells(circuit, spec, convention, tol=tol)
     deltas = np.full(s, np.nan)
-    undetectable = set()
-    tests: dict[int, HelstromTest] = {}
-    for q in range(1, s + 1):
-        try:
-            tests[q] = build_test(circuit, spec, q, convention, tol=tol)
-        except UndetectableFault:
-            undetectable.add(q)
-            continue
-        deltas[q - 1] = tests[q].delta
-    rows = [q - 1 for q in tests]
-    cells[rows] = table_cells(circuit, spec, list(tests.values()), convention)
+    for q, test in tests.items():
+        deltas[q - 1] = test.delta
+    undetectable = set(range(1, s + 1)) - set(tests)
     table = DiagnosticTable(
         s=s,
         cells=cells,

@@ -19,18 +19,23 @@ delta = (1 - sqrt(1 - k^2)) / 2, and so misclassifies either hypothesis
 with the same minimal probability delta. Outcome 0 votes healthy,
 outcome 1 votes faulty, and the rest of the space is the inconclusive
 outcome that only appears for circuits differing from both hypotheses.
+
+A faulty circuit differs from the healthy one in one gate only, so every
+quantity of a test is solved in that gate's own space (at most 8
+dimensions) and reaches the register only through the gates around it:
+lifting a gate-local vector onto the register keeps inner products.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from qatpg.circuit import Circuit, RotationConvention, _apply_gate, apply, gate_matrix
-from qatpg.faults import FaultSpec, fault_operator, faulty_variant
+from qatpg.faults import FaultSpec, fault_operator
 from qatpg.linalg import CMatrix, CVector, inner
-from qatpg.separator import SeparatorSolution, circuit_separator
+from qatpg.separator import SeparatorSolution, _lift_to_register, circuit_separator, gate_separator
 
 # Overlap this close to 1 leaves no measurable difference to exploit.
 UNDETECTABLE_TOL = 1e-9
@@ -112,45 +117,72 @@ def error_probability(k: float) -> float:
     return (1.0 - math.sqrt(1.0 - k * k)) / 2.0
 
 
-def _discrimination_pair(psi: CVector, psi_p: CVector):
-    """Orthonormal measurement pair plus (k, kappa, r1, r2) for two unit states."""
-    z = inner(psi, psi_p)
+def _local_test(sep: SeparatorSolution, gate_index: int):
+    """Gate-local test data: columns (phi', G^dag omega+, G^dag omega-) and (k, kappa, r1, r2).
+
+    With S = G^dag F, S v_j = exp(-i theta_j) v_j and phi' = sum_j c_j v_j,
+    G phi' and F phi' overlap by z = sum_j |c_j|^2 exp(-i theta_j) =
+    k exp(i kappa). With a_j = kappa + theta_j and u_j = 1 - e^{-i a_j},
+
+        G^dag omega+ = sum_j c_j (sqrt(1 - k) + r2 u_j) v_j / sqrt(1 - k^2)
+        G^dag omega- = sum_j c_j (sqrt(1 - k) - r1 u_j) v_j / sqrt(1 - k^2)
+
+    is the module's pair (r1 - r2 = sqrt(1 - k)). As u = 2i sin(a/2) e^{-i a/2}
+    and 1 - k = sum_j |c_j|^2 Re u_j, no difference of nearly equal numbers
+    is formed, so the pair keeps full accuracy as k nears 1.
+    """
+    vecs = np.array([v for c in sep.classes for v in c.eigenvectors]).T
+    theta = np.array([t for c in sep.classes for t in c.eigenphases])
+    c = vecs.conj().T @ sep.phi_prime
+    p = np.abs(c) ** 2
+    z = complex(p @ np.exp(-1j * theta))
     k = abs(z)
     if k >= 1.0 - UNDETECTABLE_TOL:
         raise UndetectableFault(
-            f"states overlap by {k:.12f}; no measurement separates them", k=k
+            f"states overlap by {k:.12f}; no measurement separates them",
+            gate_index=gate_index, k=k,
         )
+    if abs(k - sep.k) > 1e-8:
+        raise AssertionError(
+            f"output overlap {k:.12f} disagrees with separator value {sep.k:.12f}"
+        )
+    kappa = math.atan2(z.imag, z.real) if k >= UNDETECTABLE_TOL else 0.0
+    half = (kappa + theta) / 2.0
+    u = 2j * np.sin(half) * np.exp(-1j * half)  # 1 - exp(-i a_j)
     if k < UNDETECTABLE_TOL:
         # Orthogonal hypotheses: measure along the states themselves.
-        kappa = 0.0
-        r1, r2 = 1.0, 0.0
-        omega_plus = psi.copy()
-        omega_minus = psi_p.copy()
+        r1, r2, root_1mk, den = 1.0, 0.0, 1.0, 1.0
     else:
-        kappa = math.atan2(z.imag, z.real)
-        r1 = (math.sqrt(1.0 + k) + math.sqrt(1.0 - k)) / 2.0
-        r2 = (math.sqrt(1.0 + k) - math.sqrt(1.0 - k)) / 2.0
-        den = math.sqrt(1.0 - k * k)
-        e = np.exp(-1j * kappa)
-        omega_plus = (r1 * psi - r2 * e * psi_p) / den
-        omega_minus = (-r2 * psi + r1 * e * psi_p) / den
+        root_1mk, root_1pk = math.sqrt(float(p @ u.real)), math.sqrt(1.0 + k)
+        r1, r2 = (root_1pk + root_1mk) / 2.0, (root_1pk - root_1mk) / 2.0
+        den = root_1pk * root_1mk
+    omega_plus = vecs @ (c * (root_1mk + r2 * u)) / den
+    omega_minus = vecs @ (c * (root_1mk - r1 * u)) / den
     # Defensive re-orthonormalization; the correction must stay negligible.
-    correction = 0.0
-    nrm = float(np.linalg.norm(omega_plus))
-    correction = max(correction, abs(nrm - 1.0))
-    omega_plus = omega_plus / nrm
+    nrm_plus = float(np.linalg.norm(omega_plus))
+    omega_plus = omega_plus / nrm_plus
     overlap = inner(omega_plus, omega_minus)
-    correction = max(correction, abs(overlap))
     omega_minus = omega_minus - overlap * omega_plus
-    nrm = float(np.linalg.norm(omega_minus))
-    correction = max(correction, abs(nrm - 1.0))
-    omega_minus = omega_minus / nrm
+    nrm_minus = float(np.linalg.norm(omega_minus))
+    omega_minus = omega_minus / nrm_minus
+    correction = max(abs(nrm_plus - 1.0), abs(overlap), abs(nrm_minus - 1.0))
     if correction > GRAM_SCHMIDT_TOL:
         raise AssertionError(
             f"measurement pair needed a {correction:.3e} correction; "
             "the closed form should be orthonormal to rounding"
         )
-    return omega_plus, omega_minus, k, kappa, r1, r2
+    local = np.stack([sep.phi_prime, omega_plus, omega_minus], axis=1)
+    return local, (k, kappa, r1, r2)
+
+
+def _make_test(i, sep, omega_plus, omega_minus, pair, convention) -> HelstromTest:
+    """A test from its register vectors and the gate-local (k, kappa, r1, r2)."""
+    k, kappa, r1, r2 = (float(x) for x in pair)
+    return HelstromTest(
+        gate_index=i, input_state=sep.phi, omega_plus=omega_plus, omega_minus=omega_minus,
+        delta=error_probability(k), k=k, kappa=kappa, r1=r1, r2=r2,
+        convention=convention, separator=sep,
+    )
 
 
 def build_test(
@@ -162,35 +194,24 @@ def build_test(
 ) -> HelstromTest:
     """Assemble the optimal test for gate i: separator input plus measurement.
 
+    The test is solved in the gate's own space (`_local_test`); the
+    register enters through the prefix pullback of phi'
+    (`circuit_separator`) and one push of lift(G^dag omega+-) through gate
+    i and the gates after it.
+
     Raises UndetectableFault when the faulty variant is indistinguishable,
     which happens exactly when every eigenphase of the gate-local product
     coincides (residual overlap within 1e-9 of 1).
     """
     sep = circuit_separator(circuit, spec, i, convention, tol=tol)
-    psi = apply(circuit, sep.phi, convention)
-    psi_p = apply(faulty_variant(circuit, spec, i), sep.phi, convention)
-    try:
-        omega_plus, omega_minus, k, kappa, r1, r2 = _discrimination_pair(psi, psi_p)
-    except UndetectableFault as exc:
-        raise UndetectableFault(str(exc), gate_index=i, k=exc.k) from None
-    if abs(k - sep.k) > 1e-8:
-        raise AssertionError(
-            f"output overlap {k:.12f} disagrees with separator value {sep.k:.12f}"
-        )
-    delta = error_probability(k)
-    return HelstromTest(
-        gate_index=i,
-        input_state=sep.phi,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        delta=float(delta),
-        k=float(k),
-        kappa=float(kappa),
-        r1=float(r1),
-        r2=float(r2),
-        convention=convention,
-        separator=sep,
+    local, pair = _local_test(sep, i)
+    gate = circuit.gates[i - 1]
+    omegas = apply(
+        Circuit(circuit.n, circuit.gates[i - 1:]),
+        _lift_to_register(local[:, 1:], gate.qubits, circuit.n),
+        convention,
     )
+    return _make_test(i, sep, omegas[:, 0], omegas[:, 1], pair, convention)
 
 
 def _triplets(a_plus, a_minus) -> np.ndarray:
@@ -221,43 +242,66 @@ def outcome_probs(test: HelstromTest, variant: Circuit, convention: RotationConv
 def table_cells(
     circuit: Circuit,
     spec: FaultSpec,
-    tests: list[HelstromTest],
     convention: RotationConvention,
-) -> np.ndarray:
-    """Outcome triplets of every test on every hypothesis in one sweep.
+    tol: float = 1e-9,
+) -> tuple[np.ndarray, dict[int, HelstromTest]]:
+    """Every detectable gate's test and its outcome triplets on every hypothesis.
 
-    Returns shape (len(tests), s + 1, 3); entry [j, r] equals
-    outcome_probs(tests[j], faulty_variant(circuit, spec, r)). With A_r
-    the gates before r and B_r the adjoints of the gates after r, the
-    amplitude of cell (q, r) is <B_r omega | F_r A_r phi_q>, F_r being the
-    fault operator of gate r. The inputs X = A_r phi and the measurement
-    vectors W = B_r omega of all tests are held as one batch each (a
-    trailing axis on the state tensor) and moved forward together gate by
-    gate. The table costs 4 s batched gate applications instead of
-    s (s + 1) circuit simulations, and no prefix state is stored.
+    Returns (cells, tests): tests maps each detectable gate q to the test
+    build_test returns; cells has shape (s, s + 1, 3), NaN rows for
+    undetectable gates, and [q - 1, r] equal to
+    outcome_probs(tests[q], faulty_variant(circuit, spec, r)).
+
+    Backward sweep: for r = s, ..., 1 the lifted gate-local columns of
+    test r, phi' and G_r^dag omega+-, join a batch of inputs x and one of
+    measurement vectors w, and both then move back through G_{r-1}^dag.
+    They end holding every phi_q = A_q^dag lift(phi') and C^dag omega+-_q
+    (A_q: the gates before q; C: the circuit). Forward sweep: cell (q, r)
+    has amplitude <G_r ... G_1 C^dag omega_q | F_r A_r phi_q>, F_r the
+    fault operator of gate r, so both batches move forward gate by gate
+    and at gate r the inputs also pass F_r; after gate s, w holds
+    omega+-_q. Each gate matrix is built once and no circuit is simulated.
     """
     n, s = circuit.n, circuit.size
-    if not tests:
-        return np.empty((0, s + 1, 3))
-    shape = (2,) * n + (-1,)
-    x = np.stack([t.input_state for t in tests], axis=-1).reshape(shape)
-    w = np.stack(
-        [t.omega_plus for t in tests] + [t.omega_minus for t in tests], axis=-1
-    ).reshape(shape)
     gates = circuit.gates
     mats = [gate_matrix(g, convention) for g in gates]
-    for g, mat in zip(reversed(gates), reversed(mats)):
-        w = _apply_gate(mat.conj().T, g.qubits, w, n)
-    cells = np.empty((len(tests), s + 1, 3))
+    faults = [fault_operator(circuit, spec, r) for r in range(1, s + 1)]
+    local = {}
+    for q, (mat, f) in enumerate(zip(mats, faults), start=1):
+        sep = gate_separator(mat, f, tol=tol)
+        try:
+            local[q] = (sep, *_local_test(sep, q))
+        except UndetectableFault:
+            continue
+    x = np.zeros((2,) * n + (0,), dtype=np.complex128)
+    w = np.zeros((2,) * n + (0, 2), dtype=np.complex128)
+    for r in range(s, 0, -1):
+        if r in local:
+            cols = _lift_to_register(local[r][1], gates[r - 1].qubits, n).reshape((2,) * n + (3,))
+            x = np.concatenate([cols[..., :1], x], axis=-1)
+            w = np.concatenate([cols[..., None, 1:], w], axis=-2)
+        if r > 1:
+            adj = mats[r - 2].conj().T
+            x = _apply_gate(adj, gates[r - 2].qubits, x, n)
+            w = _apply_gate(adj, gates[r - 2].qubits, w, n)
+    cells = np.full((s, s + 1, 3), np.nan)
+    rows = [q - 1 for q in local]
+    dim = 2 ** n
+    inputs = x.reshape(dim, -1).T.copy()
 
-    def fill(r: int, sigma: np.ndarray) -> None:
-        # w holds (omega_plus of every test, omega_minus of every test).
-        a = np.einsum("ipq,iq->pq", w.reshape(2 ** n, 2, -1).conj(), sigma.reshape(2 ** n, -1))
-        cells[:, r] = _triplets(a[0], a[1])
+    def fill(r: int, w: np.ndarray, sigma: np.ndarray) -> None:
+        # <sigma|omega> has the modulus of <omega|sigma>; conjugating
+        # sigma touches half as many columns.
+        a = np.einsum("iqp,iq->qp", w.reshape(dim, -1, 2), sigma.reshape(dim, -1).conj())
+        cells[rows, r] = _triplets(a[:, 0], a[:, 1])
 
-    fill(0, x)
-    for r, (g, mat) in enumerate(zip(gates, mats), start=1):
+    fill(0, w, x)
+    for r, (g, mat, f) in enumerate(zip(gates, mats, faults), start=1):
         w = _apply_gate(mat, g.qubits, w, n)
-        fill(r, _apply_gate(fault_operator(circuit, spec, r), g.qubits, x, n))
+        fill(r, w, _apply_gate(f, g.qubits, x, n))
         x = _apply_gate(mat, g.qubits, x, n)
-    return cells
+    omegas = w.reshape(dim, -1, 2).transpose(1, 2, 0).copy()
+    return cells, {
+        q: _make_test(q, replace(sep, phi=inputs[j]), omegas[j, 0], omegas[j, 1], pair, convention)
+        for j, (q, (sep, _local, pair)) in enumerate(local.items())
+    }

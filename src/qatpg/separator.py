@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +40,12 @@ ZERO_OVERLAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PhaseClass:
-    """One cluster of (near-)equal eigenphases with its simplex weight."""
+    """Eigenphases within PHASE_CLUSTER_TOL, their circular mean and simplex weight."""
 
     phase: float
     eigenvectors: tuple[CVector, ...]
     weight: float
+    eigenphases: tuple[float, ...]
 
     @property
     def multiplicity(self) -> int:
@@ -168,38 +169,6 @@ def _compose_input(classes, weights, vectors, dim) -> CVector:
     return phi / np.linalg.norm(phi)
 
 
-def single_qubit_shortcut(g: CMatrix, g_f: CMatrix, tol: float = 1e-9) -> SeparatorSolution:
-    """Fast path for 2-dimensional gates with two distinct eigenphases.
-
-    Equal weights are always optimal there: both eigenvalues sit on the
-    unit circle, so the perpendicular foot from the origin bisects the
-    chord between them. Falls back with ValueError when the two phases
-    coincide (use gate_separator, which reports a single class).
-    """
-    g = as_cmatrix(g)
-    if g.shape != (2, 2):
-        raise ValueError(f"shortcut needs a 2x2 gate, got {g.shape}")
-    s = g.conj().T @ as_cmatrix(g_f)
-    pairs = eig_unitary(s, tol=tol)
-    phases = np.array([p.phase for p in pairs])
-    if phases[1] - phases[0] <= PHASE_CLUSTER_TOL or (
-        (phases[0] + 2 * math.pi) - phases[1] <= PHASE_CLUSTER_TOL
-    ):
-        raise ValueError("eigenphases coincide, no two-class shortcut applies")
-    z = (np.exp(-1j * phases[0]) + np.exp(-1j * phases[1])) / 2.0
-    k = abs(z)
-    kappa = math.atan2(z.imag, z.real) if k >= ZERO_OVERLAP_TOL else 0.0
-    phi_prime = (pairs[0].vector + pairs[1].vector) / math.sqrt(2.0)
-    phi_prime = phi_prime / np.linalg.norm(phi_prime)
-    classes = tuple(
-        PhaseClass(phase=float(p.phase), eigenvectors=(p.vector,), weight=0.5)
-        for p in pairs
-    )
-    return SeparatorSolution(
-        classes=classes, k=float(k), kappa=float(kappa), phi_prime=phi_prime, phi=phi_prime
-    )
-
-
 def gate_separator(g: CMatrix, g_f: CMatrix, tol: float = 1e-9) -> SeparatorSolution:
     """Optimal separator input for gate G against wrong unitary G_f.
 
@@ -216,9 +185,6 @@ def gate_separator(g: CMatrix, g_f: CMatrix, tol: float = 1e-9) -> SeparatorSolu
     vectors = [p.vector for p in pairs]
 
     idx_classes = _cluster_phases(phases)
-    if g.shape == (2, 2) and len(idx_classes) == 2:
-        return single_qubit_shortcut(g, g_f, tol=tol)
-
     reps = np.array([_circular_mean(phases[cls]) for cls in idx_classes])
     weights, k, kappa = solve_opt(reps)
     phi_prime = _compose_input(idx_classes, weights, vectors, s.shape[0])
@@ -227,6 +193,7 @@ def gate_separator(g: CMatrix, g_f: CMatrix, tol: float = 1e-9) -> SeparatorSolu
             phase=float(rep),
             eigenvectors=tuple(vectors[i] for i in cls),
             weight=float(w),
+            eigenphases=tuple(float(phases[i]) for i in cls),
         )
         for rep, cls, w in zip(reps, idx_classes, weights)
     )
@@ -235,15 +202,15 @@ def gate_separator(g: CMatrix, g_f: CMatrix, tol: float = 1e-9) -> SeparatorSolu
     )
 
 
-def _lift_to_register(phi_prime: CVector, qubits: tuple[int, ...], n: int) -> CVector:
-    """Place a gate-local state on the gate qubits and |0> on all others."""
+def _lift_to_register(local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Place a gate-local vector (or block of columns) on the gate qubits, |0> elsewhere."""
     m = len(qubits)
-    lifted = np.zeros(2 ** n, dtype=np.complex128)
-    for gidx in range(2 ** m):
-        full = 0
-        for pos, q in enumerate(qubits):
-            full |= ((gidx >> (m - 1 - pos)) & 1) << (n - 1 - q)
-        lifted[full] += phi_prime[gidx]
+    gidx = np.arange(2 ** m)
+    full = np.zeros(2 ** m, dtype=np.intp)
+    for pos, q in enumerate(qubits):
+        full |= ((gidx >> (m - 1 - pos)) & 1) << (n - 1 - q)
+    lifted = np.zeros((2 ** n,) + local.shape[1:], dtype=np.complex128)
+    lifted[full] = local
     return lifted
 
 
@@ -256,21 +223,14 @@ def circuit_separator(
 ) -> SeparatorSolution:
     """Separator input for gate i of a circuit under the given fault spec.
 
-    Solves the gate-local problem, lifts the result onto the gate's qubits
-    with |0> elsewhere, and pulls it back through the adjoint of the prefix
-    so the prepared register state reaches the gate as the optimal input.
-    The suffix never enters, so edits after gate i cannot change the test.
+    Solves the gate-local problem and pulls the lifted phi' back through
+    the gates A before i: phi = A^dag lift(phi') reaches gate i as the
+    optimal input. The suffix never enters, so edits after gate i cannot
+    change the input.
     """
     prefix, gate, _suffix = split(circuit, i)
     g = gate_matrix(gate, convention)
     g_f = fault_operator(circuit, spec, i)
     sol = gate_separator(g, g_f, tol=tol)
     lifted = _lift_to_register(sol.phi_prime, gate.qubits, circuit.n)
-    phi = apply_adjoint(prefix, lifted, convention)
-    return SeparatorSolution(
-        classes=sol.classes,
-        k=sol.k,
-        kappa=sol.kappa,
-        phi_prime=sol.phi_prime,
-        phi=phi,
-    )
+    return replace(sol, phi=apply_adjoint(prefix, lifted, convention))

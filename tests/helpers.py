@@ -91,6 +91,9 @@ def random_instance(
 
 _SIMPLEX3: dict[float, np.ndarray] = {}
 
+# Values of the first weight scanned per block by grid_min for m = 4.
+_GRID_ROWS = 16
+
 
 def _simplex3(step: float) -> np.ndarray:
     """All weight triples (a, b, 1-a-b) on a step-spaced 2-simplex grid."""
@@ -123,16 +126,20 @@ def grid_min(phases, step: float = 0.002) -> float:
     if m == 3:
         return float(np.abs(w @ z).min())
     if m == 4:
+        # Points a z0 + (1 - a) b for every grid a and every 3-simplex point b.
+        # Expanded, |a z0 + (1 - a) b|^2 = (a^2, a (1 - a), (1 - a)^2) . coef_b,
+        # so a block of a values is one small matrix product; blocks of
+        # _GRID_ROWS values keep the temporary array near 16 MB.
         base = w @ z[1:]
-        br, bi = base.real, base.imag
-        z0 = z[0]
-        best2 = math.inf
-        for a in ts:
-            rem = 1.0 - a
-            pr = a * z0.real + rem * br
-            pi = a * z0.imag + rem * bi
-            best2 = min(best2, float((pr * pr + pi * pi).min()))
-        return math.sqrt(best2)
+        coef = np.stack(
+            [np.full(len(base), abs(z[0]) ** 2), 2.0 * (z[0].conj() * base).real, np.abs(base) ** 2]
+        )
+        rem = 1.0 - ts
+        mono = np.stack([ts * ts, ts * rem, rem * rem], axis=1)
+        best2 = min(
+            float((mono[i:i + _GRID_ROWS] @ coef).min()) for i in range(0, len(ts), _GRID_ROWS)
+        )
+        return math.sqrt(max(best2, 0.0))
     triples = np.array(list(itertools.combinations(range(m), 3)))
     pts = w @ z[triples].T
     return float(np.abs(pts).min())

@@ -7,9 +7,10 @@ Run:
 Selected table cells are pinned against hand-derived closed forms (the
 benchmark circuit is small enough to work outcome amplitudes out on
 paper), the full table against frozen six-decimal regression values,
-the batched table fill against one simulation per cell, the array
-scheduler against a loop over survivor pairs, and the campaign engine
-against its documented seeding contract.
+the batched table fill against one simulation per cell, the table's
+tests against single `build_test` calls and a three-simulation
+reference, the array scheduler against a loop over survivor pairs, and
+the campaign engine against its documented seeding contract.
 """
 import itertools
 import json
@@ -32,8 +33,11 @@ from qatpg.circuit import (
     GateKind,
     PlacedGate,
     RotationConvention,
+    apply,
+    apply_adjoint,
     gate_matrix,
     parse_circuit,
+    split,
 )
 from qatpg.diagnosis import (
     ADAPTIVE,
@@ -51,8 +55,9 @@ from qatpg.diagnosis import (
     run_campaign,
     sample_outcome,
 )
-from qatpg.faults import FaultModel, FaultSpec, GateFault, faulty_variant
-from qatpg.helstrom import OutcomeTriplet, UndetectableFault, outcome_probs
+from qatpg.faults import FaultModel, FaultSpec, GateFault, fault_operator, faulty_variant
+from qatpg.helstrom import OutcomeTriplet, UndetectableFault, build_test, outcome_probs
+from qatpg.separator import gate_separator
 
 from helpers import haar_unitary, random_circuit
 
@@ -227,6 +232,40 @@ def _seeded_instance(seed: int, n: int, size: int):
     return circuit, FaultSpec(overrides=overrides), conv
 
 
+def _reference_test(circuit, spec, i, conv):
+    """A test as three full simulations give it: the prefix pullback of the
+    lifted phi', psi = C phi, psi' = C_i phi, and the closed-form pair
+    formed from psi and psi' in the register."""
+    prefix, gate, _ = split(circuit, i)
+    phi_prime = gate_separator(gate_matrix(gate, conv), fault_operator(circuit, spec, i)).phi_prime
+    m, n = gate.arity, circuit.n
+    lifted = np.zeros(2 ** n, dtype=np.complex128)
+    for local in range(2 ** m):
+        full = sum(((local >> (m - 1 - pos)) & 1) << (n - 1 - q) for pos, q in enumerate(gate.qubits))
+        lifted[full] = phi_prime[local]
+    phi = apply_adjoint(prefix, lifted, conv)
+    psi = apply(circuit, phi, conv)
+    psi_p = apply(faulty_variant(circuit, spec, i), phi, conv)
+    z = np.vdot(psi, psi_p)
+    k = abs(z)
+    r1 = (math.sqrt(1 + k) + math.sqrt(1 - k)) / 2
+    r2 = (math.sqrt(1 + k) - math.sqrt(1 - k)) / 2
+    e = np.exp(-1j * math.atan2(z.imag, z.real))
+    den = math.sqrt(1 - k * k)
+    return {
+        "input_state": phi,
+        "omega_plus": (r1 * psi - r2 * e * psi_p) / den,
+        "omega_minus": (-r2 * psi + r1 * e * psi_p) / den,
+        "k": k,
+        "delta": (1 - den) / 2,
+    }
+
+
+def _assert_equal_up_to_phase(got, want, atol=1e-12):
+    overlap = np.vdot(want, got)
+    np.testing.assert_allclose(got, want * overlap / abs(overlap), rtol=0, atol=atol)
+
+
 class TestSweepFill:
     """The batched sweep against one full simulation per (test, variant)."""
 
@@ -253,12 +292,12 @@ class TestSweepFill:
                                            rtol=0, atol=1e-12)
 
     def test_fill_does_not_simulate_per_cell(self, monkeypatch):
-        # Test assembly simulates each gate's test at most three times; a
-        # fall-back to one simulation per cell would make s (s + 1) more.
+        # Tests and cells come from gate-local data and two sweeps, so a
+        # table simulates no circuit and builds no faulty variant.
         calls = []
         for module in vars(qatpg).values():
             if getattr(module, "__name__", "").startswith("qatpg."):
-                for name in ("apply", "apply_adjoint"):
+                for name in ("apply", "apply_adjoint", "faulty_variant"):
                     fn = getattr(module, name, None)
                     if callable(fn):
                         def counted(*args, _fn=fn, **kwargs):
@@ -267,7 +306,30 @@ class TestSweepFill:
                         monkeypatch.setattr(module, name, counted)
         circuit, spec, conv = _seeded_instance(5, 3, 12)
         build_table(circuit, spec, conv)
-        assert 0 < len(calls) <= 3 * circuit.size
+        assert len(calls) == 0
+        # The counters are live: a single test does run partial passes.
+        build_test(circuit, spec, 1, conv)
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("seed,n,size", [(5, 3, 12), (6, 4, 10), (7, 2, 7), (8, 5, 9)])
+    def test_single_tests_match_table_tests(self, seed, n, size):
+        circuit, spec, conv = _seeded_instance(seed, n, size)
+        table, tests = build_table(circuit, spec, conv)
+        for q in table.undetectable:
+            with pytest.raises(UndetectableFault):
+                build_test(circuit, spec, q, conv)
+        for q, from_table in tests.items():
+            single = build_test(circuit, spec, q, conv)
+            reference = _reference_test(circuit, spec, q, conv)
+            for got in (single, from_table):
+                for name in ("input_state", "omega_plus", "omega_minus"):
+                    _assert_equal_up_to_phase(getattr(got, name), reference[name])
+                assert got.k == pytest.approx(reference["k"], abs=1e-12)
+                assert got.delta == pytest.approx(reference["delta"], abs=1e-12)
+            for name in ("input_state", "omega_plus", "omega_minus"):
+                _assert_equal_up_to_phase(getattr(single, name), getattr(from_table, name))
+            assert single.k == pytest.approx(from_table.k, abs=1e-12)
+            assert single.delta == pytest.approx(from_table.delta, abs=1e-12)
 
     def test_twelve_qubit_table_fits_in_memory(self):
         # Fresh interpreter, so ru_maxrss is this table's peak alone.
@@ -384,6 +446,8 @@ class TestSampling:
 
     def test_negative_mass_is_clipped(self):
         assert sample_outcome((-0.5, 1.0, 0.0), _StubGenerator([0.0])) == 1
+        # Clipped, (-0.25, 0.75, 0.5) has CDF (0, 0.6, 1); unclipped (-0.25, 0.5, 1).
+        assert sample_outcome((-0.25, 0.75, 0.5), _StubGenerator([0.55])) == 1
 
     def test_no_mass_rejected(self):
         with pytest.raises(ValueError, match="no probability mass"):

@@ -28,7 +28,6 @@ from qatpg.separator import (
     SeparatorSolution,
     circuit_separator,
     gate_separator,
-    single_qubit_shortcut,
     solve_opt,
 )
 
@@ -144,7 +143,8 @@ class TestGateSeparator:
         )
         assert [c.weight for c in sol.classes] == [0.5, 0.5]
 
-    def test_shortcut_agrees_with_general_optimizer(self):
+    def test_two_by_two_agrees_with_general_optimizer(self):
+        # Haar 2x2 pairs: gate_separator against solve_opt on numpy's eigenphases.
         rng = np.random.default_rng(19)
         for _ in range(25):
             g, g_f = haar_unitary(2, rng), haar_unitary(2, rng)
@@ -156,14 +156,6 @@ class TestGateSeparator:
             assert sol.k == pytest.approx(k_general, abs=1e-10)
             z = np.vdot(sol.phi_prime, s @ sol.phi_prime)
             assert abs(z - sol.k * np.exp(1j * sol.kappa)) < 1e-9
-
-    def test_shortcut_rejects_coincident_phases(self):
-        with pytest.raises(ValueError, match="coincide"):
-            single_qubit_shortcut(np.eye(2, dtype=np.complex128), np.eye(2))
-
-    def test_shortcut_requires_2x2(self):
-        with pytest.raises(ValueError, match="2x2"):
-            single_qubit_shortcut(np.eye(4, dtype=np.complex128), np.eye(4))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):
