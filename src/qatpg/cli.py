@@ -72,7 +72,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         default="half",
         help="rotation angle convention (default: half)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     parser.add_argument(
         "--format",
         choices=["json", "csv", "text"],
@@ -124,12 +123,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_envelope(args, extra: dict, circuit: Circuit | None = None, spec: FaultSpec | None = None) -> dict:
-    body = {
-        "tool": "qatpg",
-        "version": __version__,
-        "convention": args.convention,
-        "seed": args.seed,
-    }
+    body = {"tool": "qatpg", "version": __version__, "convention": args.convention}
+    if "seed" in args:
+        body["seed"] = args.seed
     if circuit is not None:
         body["circuit_sha256"] = circuit_hash(circuit)
     if spec is not None:
@@ -256,7 +252,6 @@ def cmd_table(args) -> int:
     if args.format == "json":
         body = table.to_json()
         body["convention"] = args.convention
-        body["seed"] = args.seed
         _emit(json.dumps(body, indent=2), args.output)
     elif args.format == "csv":
         _emit(table.to_csv(), args.output)
@@ -386,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="seeded diagnosis campaign")
     _common_flags(p)
     p.add_argument("-c", "--circuit", required=True, help="golden circuit file")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.add_argument("--inject-fault", type=int, required=True, metavar="R",
                    help="simulate the circuit-under-test with fault R (0 = healthy)")
     p.add_argument("--fault", default="smgf", help="'smgf' or a fault spec JSON file")

@@ -176,11 +176,14 @@ def _local_test(sep: SeparatorSolution, gate_index: int):
 
 
 def _make_test(i, sep, omega_plus, omega_minus, pair, convention) -> HelstromTest:
-    """A test from its register vectors and the gate-local (k, kappa, r1, r2)."""
+    """A test from its register vectors and the gate-local (k, kappa, r1, r2).
+
+    delta = r2^2 keeps full accuracy as k nears 1, unlike error_probability(k).
+    """
     k, kappa, r1, r2 = (float(x) for x in pair)
     return HelstromTest(
         gate_index=i, input_state=sep.phi, omega_plus=omega_plus, omega_minus=omega_minus,
-        delta=error_probability(k), k=k, kappa=kappa, r1=r1, r2=r2,
+        delta=r2 * r2, k=k, kappa=kappa, r1=r1, r2=r2,
         convention=convention, separator=sep,
     )
 
@@ -252,56 +255,96 @@ def table_cells(
     undetectable gates, and [q - 1, r] equal to
     outcome_probs(tests[q], faulty_variant(circuit, spec, r)).
 
-    Backward sweep: for r = s, ..., 1 the lifted gate-local columns of
-    test r, phi' and G_r^dag omega+-, join a batch of inputs x and one of
-    measurement vectors w, and both then move back through G_{r-1}^dag.
-    They end holding every phi_q = A_q^dag lift(phi') and C^dag omega+-_q
-    (A_q: the gates before q; C: the circuit). Forward sweep: cell (q, r)
-    has amplitude <G_r ... G_1 C^dag omega_q | F_r A_r phi_q>, F_r the
-    fault operator of gate r, so both batches move forward gate by gate
-    and at gate r the inputs also pass F_r; after gate s, w holds
-    omega+-_q. Each gate matrix is built once and no circuit is simulated.
+    Two columns per test: G^dag omega+- lie in span{phi', e} with
+    e = normalise(G^dag omega- - <phi'|G^dag omega-> phi'), and the 2x2
+    unitary M = (phi', e)^dag (G^dag omega+, G^dag omega-) carries them
+    over. e comes from omega-, whose overlap with phi' is at most
+    sqrt(delta) <= sqrt(1/2); G^dag omega+ is phi' to rounding when k = 0.
+
+    Cell (q, r) has amplitude <G_r u | F_r x> at gate r, u and x the
+    images of test q's columns and input at the cut before gate r, F_r
+    the fault operator. For r < q both come from the backward sweep (the
+    batch after and before G_r^dag), which adds test r's lifted (phi', e)
+    before gate r and ends holding every phi_q; for r > q both come from
+    the forward sweep (the batch before and after G_r), which adds
+    lift(G_r (phi', e)) after gate r and ends holding (omega+, omega-)_q
+    up to M. Column 0 and the diagonal are gate-local inner products. Each
+    distinct (G, F) pair is solved once, each gate matrix is built once
+    and no circuit is simulated.
     """
-    n, s = circuit.n, circuit.size
+    n, s, dim = circuit.n, circuit.size, 2 ** circuit.n
     gates = circuit.gates
     mats = [gate_matrix(g, convention) for g in gates]
     faults = [fault_operator(circuit, spec, r) for r in range(1, s + 1)]
-    local = {}
+    solved, local = {}, {}
     for q, (mat, f) in enumerate(zip(mats, faults), start=1):
-        sep = gate_separator(mat, f, tol=tol)
-        try:
-            local[q] = (sep, *_local_test(sep, q))
-        except UndetectableFault:
-            continue
-    x = np.zeros((2,) * n + (0,), dtype=np.complex128)
-    w = np.zeros((2,) * n + (0, 2), dtype=np.complex128)
-    for r in range(s, 0, -1):
-        if r in local:
-            cols = _lift_to_register(local[r][1], gates[r - 1].qubits, n).reshape((2,) * n + (3,))
-            x = np.concatenate([cols[..., :1], x], axis=-1)
-            w = np.concatenate([cols[..., None, 1:], w], axis=-2)
-        if r > 1:
-            adj = mats[r - 2].conj().T
-            x = _apply_gate(adj, gates[r - 2].qubits, x, n)
-            w = _apply_gate(adj, gates[r - 2].qubits, w, n)
-    cells = np.full((s, s + 1, 3), np.nan)
+        key = (mat.tobytes(), f.tobytes())
+        if key not in solved:
+            sep = gate_separator(mat, f, tol=tol)
+            try:
+                cols, pair = _local_test(sep, q)
+            except UndetectableFault:
+                solved[key] = None
+                continue
+            e = cols[:, 2] - inner(cols[:, 0], cols[:, 2]) * cols[:, 0]
+            basis = np.stack([cols[:, 0], e / np.linalg.norm(e)], axis=1)
+            solved[key] = (sep, pair, basis, basis.conj().T @ cols[:, 1:])
+        if solved[key] is not None:
+            local[q] = solved[key]
+    # raw[q - 1, r, c] = <sigma | column c> for test q on hypothesis r;
+    # the conjugate of the amplitude has the same modulus.
+    raw = np.zeros((s, s + 1, 2), dtype=np.complex128)
+    for q, (sep, _pair, basis, _m) in local.items():
+        raw[q - 1, 0] = sep.phi_prime.conj() @ basis
+        raw[q - 1, q] = (faults[q - 1] @ sep.phi_prime).conj() @ mats[q - 1] @ basis
+
+    def lifted(q: int, cols: np.ndarray) -> np.ndarray:
+        return _lift_to_register(cols, gates[q - 1].qubits, n).reshape((2,) * n + (1, 2))
+
+    moves = [None if np.array_equal(f, np.eye(len(f))) else f for f in faults]
+
+    def fill(r: int, tests: list[int], cols: np.ndarray, x: np.ndarray) -> None:
+        """Column r of the tests from their columns after gate r and inputs before it."""
+        if moves[r - 1] is not None:
+            x = _apply_gate(moves[r - 1], gates[r - 1].qubits, x, n)
+        sigma = x.reshape(dim, -1).T.conj()[..., None]
+        raw[[q - 1 for q in tests], r] = (cols.reshape(dim, -1, 2).transpose(1, 2, 0) @ sigma)[..., 0]
+
+    # Each sweep runs in its own function, so its batch is freed on return.
+    empty = np.zeros((2,) * n + (0, 2), dtype=np.complex128)
+
+    def backward() -> np.ndarray:
+        """Cells (q, r < q); returns every input phi_q."""
+        y, tests = empty, []
+        for r in range(s, 0, -1):
+            if tests:
+                before = _apply_gate(mats[r - 1].conj().T, gates[r - 1].qubits, y, n)
+                fill(r, tests, y, before[..., 0])
+                y = before
+            if r in local:
+                y, tests = np.concatenate([lifted(r, local[r][2]), y], axis=-2), [r] + tests
+        return y[..., 0].reshape(dim, -1).T.copy()
+
+    def forward() -> np.ndarray:
+        """Cells (q, r > q); returns every test's columns after gate s."""
+        z, tests = empty, []
+        for r in range(1, s + 1):
+            if tests:
+                after = _apply_gate(mats[r - 1], gates[r - 1].qubits, z, n)
+                fill(r, tests, after, z[..., 0])
+                z = after
+            if r in local:
+                z, tests = np.concatenate([z, lifted(r, mats[r - 1] @ local[r][2])], axis=-2), tests + [r]
+        return z.reshape(dim, -1, 2)
+
+    inputs, ends = backward(), forward()
     rows = [q - 1 for q in local]
-    dim = 2 ** n
-    inputs = x.reshape(dim, -1).T.copy()
-
-    def fill(r: int, w: np.ndarray, sigma: np.ndarray) -> None:
-        # <sigma|omega> has the modulus of <omega|sigma>; conjugating
-        # sigma touches half as many columns.
-        a = np.einsum("iqp,iq->qp", w.reshape(dim, -1, 2), sigma.reshape(dim, -1).conj())
-        cells[rows, r] = _triplets(a[:, 0], a[:, 1])
-
-    fill(0, w, x)
-    for r, (g, mat, f) in enumerate(zip(gates, mats, faults), start=1):
-        w = _apply_gate(mat, g.qubits, w, n)
-        fill(r, w, _apply_gate(f, g.qubits, x, n))
-        x = _apply_gate(mat, g.qubits, x, n)
-    omegas = w.reshape(dim, -1, 2).transpose(1, 2, 0).copy()
+    ms = np.array([m for (_sep, _pair, _basis, m) in local.values()]).reshape(-1, 2, 2)
+    amps = raw[rows] @ ms
+    cells = np.full((s, s + 1, 3), np.nan)
+    cells[rows] = _triplets(amps[..., 0], amps[..., 1])
+    omegas = ms.transpose(0, 2, 1) @ ends.transpose(1, 2, 0)
     return cells, {
         q: _make_test(q, replace(sep, phi=inputs[j]), omegas[j, 0], omegas[j, 1], pair, convention)
-        for j, (q, (sep, _local, pair)) in enumerate(local.items())
+        for j, (q, (sep, pair, _basis, _m)) in enumerate(local.items())
     }

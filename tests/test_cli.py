@@ -65,6 +65,17 @@ class TestParser:
             main(["catalog", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["catalog"],
+        ["separator", "-c", "circuit.qc", "-i", "1"],
+        ["table", "-c", "circuit.qc"],
+    ])
+    def test_seed_is_a_diagnose_flag_only(self, capsys, command):
+        # Only campaigns sample; the other commands do not parse --seed.
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "1"])
+        assert exc.value.code == 2
+
     def test_missing_circuit_file(self, capsys):
         code, _, err = run(capsys, "separator", "-c", "/nonexistent.qc", "-i", "1")
         assert code == EXIT_PARSE
@@ -90,7 +101,7 @@ class TestCatalog:
         assert body["tool"] == "qatpg"
         assert body["version"] == __version__
         assert body["convention"] == "half"
-        assert body["seed"] == 0
+        assert "seed" not in body
         deltas = {e["gate"]: e["delta"] for e in body["catalog"]}
         assert set(deltas) == {
             "h", "x", "y", "z", "phase", "cnot", "toffoli",
@@ -172,6 +183,7 @@ class TestSeparator:
         assert abs(body["delta"]) <= 1e-9
         assert body["undetectable"] is False
         assert "circuit_sha256" in body and "fault_spec_sha256" in body
+        assert "seed" not in body
         phi = np.array([complex(re, im) for re, im in body["phi"]])
         np.testing.assert_allclose(np.linalg.norm(phi), 1.0, atol=1e-9)
 
@@ -262,7 +274,7 @@ class TestTable:
         assert code == EXIT_OK
         body = json.loads(out_path.read_text())
         assert body["convention"] == "full"
-        assert body["seed"] == 0
+        assert "seed" not in body
         assert body["s"] == 6
         circuit = parse_circuit(open(benchmark_path).read())
         table, _ = build_table(circuit, FaultSpec(), RotationConvention.FULL_ANGLE)

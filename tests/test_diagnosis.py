@@ -167,6 +167,13 @@ class TestTableBuild:
         assert np.all(np.isnan(table.cells[1]))
         assert math.isnan(table.deltas[1])
 
+    def test_all_rows_undetectable(self):
+        rz0 = PlacedGate(kind=GateKind.RZ, qubits=(0,), angle=0.0)
+        table, tests = build_table(Circuit(n=2, gates=(rz0, rz0)), FaultSpec(), HALF)
+        assert table.undetectable == frozenset({1, 2})
+        assert tests == {}
+        assert np.all(np.isnan(table.cells))
+
     def test_vote_separation_floor(self, benchmark_circuit, smgf_spec):
         # The healthy and target columns sit at L1 distance 2(1 - 2 delta).
         for conv in (HALF, FULL):
@@ -330,6 +337,86 @@ class TestSweepFill:
                 _assert_equal_up_to_phase(getattr(single, name), getattr(from_table, name))
             assert single.k == pytest.approx(from_table.k, abs=1e-12)
             assert single.delta == pytest.approx(from_table.delta, abs=1e-12)
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_sweeps_apply_each_gate_once(self, monkeypatch):
+        # Each sweep applies every gate once to its batch; a fault operator
+        # is applied only where it is not the identity, once in each sweep
+        # whose triangle reaches its column.
+        calls = self._count(monkeypatch, qatpg.helstrom, "_apply_gate")
+        circuit = random_circuit(np.random.default_rng(21), n=4, size=14)
+        build_table(circuit, FaultSpec(), FULL)
+        assert 0 < len(calls) <= 2 * (circuit.size - 1)
+        calls.clear()
+        circuit, spec, conv = _seeded_instance(5, 3, 12)
+        s = circuit.size
+        moved = [r for r in range(1, s + 1)
+                 if not np.allclose(fault_operator(circuit, spec, r), np.eye(2 ** circuit.gates[r - 1].arity))]
+        assert moved
+        build_table(circuit, spec, conv)
+        assert len(calls) <= 2 * (s - 1) + sum((r < s) + (r > 1) for r in moved)
+
+    @pytest.mark.parametrize("replace_one", [False, True])
+    def test_each_distinct_gate_is_solved_once(self, monkeypatch, replace_one):
+        calls = self._count(monkeypatch, qatpg.separator, "eig_unitary")
+        layout = [(GateKind.H, (0,)), (GateKind.CNOT, (0, 1)), (GateKind.H, (2,)),
+                  (GateKind.CNOT, (1, 2)), (GateKind.H, (1,)), (GateKind.CNOT, (2, 0)),
+                  (GateKind.X, (1,)), (GateKind.H, (0,)), (GateKind.CNOT, (0, 1))]
+        circuit = Circuit(n=3, gates=tuple(PlacedGate(kind=k, qubits=q) for k, q in layout))
+        overrides = {}
+        if replace_one:
+            overrides[5] = GateFault(kind=FaultModel.REPLACE,
+                                     matrix=haar_unitary(2, np.random.default_rng(3)))
+        spec = FaultSpec(overrides=overrides)
+        _table, tests = build_table(circuit, spec, HALF)
+        keys = {}
+        for r in range(1, circuit.size + 1):
+            key = (gate_matrix(circuit.gates[r - 1], HALF).tobytes(),
+                   fault_operator(circuit, spec, r).tobytes())
+            keys.setdefault(key, []).append(r)
+        assert len(calls) == len(keys) == (4 if replace_one else 3)
+        for same in keys.values():
+            for q in same[1:]:
+                assert tests[q].k == tests[same[0]].k
+                assert tests[q].delta == tests[same[0]].delta
+                np.testing.assert_array_equal(tests[q].separator.phi_prime,
+                                              tests[same[0]].separator.phi_prime)
+
+    @pytest.mark.parametrize("case", ["haar-1", "haar-3", "haar-4", "missing-gates"])
+    def test_closed_form_columns(self, case):
+        # Column 0 is (1 - delta, delta, 0) and column q is (delta, 1 - delta, 0)
+        # for every test, also when k = 0 (X and Z missing, where
+        # G^dag omega+ is phi' to rounding, so the second column must not be
+        # built from it) and when 1 - k^2 is about 1e-6 (RZ(2e-3) missing).
+        if case.startswith("haar"):
+            seed = int(case[-1])
+            circuit, spec, conv = _seeded_instance(seed, seed, 2 * seed + 4)
+        else:
+            conv, spec = HALF, FaultSpec()
+            layout = [(GateKind.H, (1,), None), (GateKind.X, (0,), None),
+                      (GateKind.CNOT, (1, 0), None), (GateKind.Z, (1,), None),
+                      (GateKind.RZ, (0,), 2e-3), (GateKind.H, (0,), None)]
+            circuit = Circuit(n=2, gates=tuple(PlacedGate(kind=k, qubits=q, angle=a)
+                                               for k, q, a in layout))
+        table, tests = build_table(circuit, spec, conv)
+        if case == "missing-gates":
+            assert tests[2].k < 1e-12 and tests[4].k < 1e-12
+            assert 1 - tests[5].k ** 2 == pytest.approx(1e-6, rel=1e-3)
+        for q, test in tests.items():
+            d = test.delta
+            np.testing.assert_allclose(table.cells[q - 1, 0], [1 - d, d, 0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(table.cells[q - 1, q], [d, 1 - d, 0], rtol=0, atol=1e-13)
 
     def test_twelve_qubit_table_fits_in_memory(self):
         # Fresh interpreter, so ru_maxrss is this table's peak alone.
